@@ -26,7 +26,18 @@ cargo run -q -p rls-lint --offline -- --only concurrency
 cargo run -q -p rls-lint --offline -- --only persistence
 
 echo "== tier-1: tests =="
+# Tests never write into the source tree: the tree's status, ignored
+# files included (build output under target/ aside), must be the same
+# before and after the suite runs.
+tree_state() { git status --porcelain --ignored | grep -v '^!! target/$' || true; }
+TREE_BEFORE=$(tree_state)
 cargo test -q --offline --workspace
+TREE_AFTER=$(tree_state)
+if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
+    echo "cargo test changed the source tree:"
+    diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") || true
+    exit 1
+fi
 
 echo "== determinism: threads=4 ≡ threads=1 =="
 cargo test -q --offline --test determinism

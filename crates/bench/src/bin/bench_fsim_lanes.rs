@@ -38,7 +38,7 @@
 use std::sync::Arc;
 
 use rls_core::{generate_ts0, RlsConfig};
-use rls_dispatch::jsonl::JsonObject;
+use rls_obs::jsonl::JsonObject;
 use rls_fsim::{
     FaultId, FaultSimulator, LaneWidth, ScanTest, SimKernel, PATTERN_LANES_ALL,
     PATTERN_LANES_DEFAULT,

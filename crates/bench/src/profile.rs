@@ -329,7 +329,7 @@ pub fn phase_profile_from(log: &CampaignLog) -> Result<PhaseProfile, String> {
         .ok_or("no `phase_profile` header record (not a phase profile file?)")?;
     let tolerance = header
         .get("tolerance")
-        .and_then(rls_dispatch::jsonl::JsonValue::as_f64)
+        .and_then(rls_obs::jsonl::JsonValue::as_f64)
         .unwrap_or(DEFAULT_TOLERANCE);
     let phases: Vec<Phase> = log
         .of_type("phase")
@@ -337,9 +337,9 @@ pub fn phase_profile_from(log: &CampaignLog) -> Result<PhaseProfile, String> {
             name: p.str_field("name").unwrap_or("?").to_string(),
             self_share: p
                 .get("self_share")
-                .and_then(rls_dispatch::jsonl::JsonValue::as_f64)
+                .and_then(rls_obs::jsonl::JsonValue::as_f64)
                 .unwrap_or(0.0),
-            tolerance: p.get("tolerance").and_then(rls_dispatch::jsonl::JsonValue::as_f64),
+            tolerance: p.get("tolerance").and_then(rls_obs::jsonl::JsonValue::as_f64),
         })
         .collect();
     if phases.is_empty() {
@@ -580,6 +580,6 @@ mod tests {
         assert!(trace.contains("\"ph\":\"E\""), "{trace}");
         assert!(trace.contains("\"ph\":\"C\""), "{trace}");
         // The whole document is one valid JSON value.
-        assert!(rls_dispatch::jsonl::parse(&trace).is_ok());
+        assert!(rls_obs::jsonl::parse(&trace).is_ok());
     }
 }

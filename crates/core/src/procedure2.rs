@@ -405,7 +405,7 @@ impl<'c> Procedure2<'c> {
                     rls_obs::counter!("procedure2.degrades", 1, i = i, d1 = u64::from(d1));
                     if let Some(c) = campaign.as_deref_mut() {
                         c.record_raw(
-                            &rls_dispatch::jsonl::JsonObject::new()
+                            &rls_obs::jsonl::JsonObject::new()
                                 .str("type", "degrade")
                                 .num("i", i)
                                 .num("d1", u64::from(d1))

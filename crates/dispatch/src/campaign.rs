@@ -11,30 +11,33 @@
 //!
 //! # Crash safety
 //!
-//! Records stream to disk as the campaign runs, not at the end:
+//! Records stream to disk as the campaign runs, not at the end, through
+//! the shared [`rls_obs::jsonl`] file protocol:
 //!
-//! - the file is *created* by writing the header to a hidden temp file,
-//!   fsyncing it, and atomically renaming over a `create_new`-reserved
-//!   unique name — a crash mid-create leaves no half-written visible
-//!   file, and two campaigns racing for the same stamp get distinct names
-//!   (monotonic `-k` suffix) instead of overwriting each other;
+//! - the file is *created* under a `create_new`-reserved unique name
+//!   with its header published through an fsynced temp file and an
+//!   atomic rename — a crash mid-create leaves no half-written visible
+//!   file, and two campaigns racing for the same stamp get distinct names;
 //! - each record is one `write_all` + `sync_data`, so after `kill -9` the
 //!   file holds every fully-appended record plus at most one torn tail
 //!   line, which [`CampaignLog::read`] (and the resume parser) ignore;
 //! - an append error never aborts the campaign: the sink is disabled
 //!   with a single warning and the run continues in memory.
 //!
+//! What stays here is policy: the `inject::on_io` fault points and the
+//! [`DispatchError`] context on every failure.
+//!
 //! Timing fields record wall-clock observations; they are deliberately
 //! excluded from anything the deterministic outcome depends on.
 
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use rls_obs::jsonl::{self, array, JsonObject, JsonValue};
+
 use crate::error::DispatchError;
 use crate::inject;
-use crate::jsonl::{array, parse, JsonObject, JsonValue};
 use crate::pool::PoolSnapshot;
 
 /// One `(I, D1)` trial of Procedure 2.
@@ -82,7 +85,10 @@ struct CampaignFile {
 
 impl CampaignFile {
     /// Creates `<dir>/campaign-<circuit>-<threads>t-<run_id>[-k].jsonl`
-    /// atomically with `header` as its first record.
+    /// atomically with `header` as its first record. The name stamp is
+    /// an `rls-obs` run id — config fingerprint plus a process-monotonic
+    /// counter — so resumed or rapid-fire runs never collide; the `-k`
+    /// suffix backstops names left by *other* processes.
     fn create(
         dir: &Path,
         circuit: &str,
@@ -94,52 +100,26 @@ impl CampaignFile {
             .map_err(|e| DispatchError::io("create campaign file", dir, e))?;
         std::fs::create_dir_all(dir)
             .map_err(|e| DispatchError::io("create campaign directory", dir, e))?;
-        let (path, _reservation) = reserve_unique(dir, circuit, threads, fingerprint)
+        let stem = format!(
+            "campaign-{}-{threads}t-{}",
+            sanitize(circuit),
+            rls_obs::run_id(fingerprint)
+        );
+        let (path, _reservation) = jsonl::reserve(dir, &stem)
             .map_err(|e| DispatchError::io("reserve campaign file", dir, e))?;
-        // Write the header to a hidden temp file (the leading dot keeps it
-        // out of `campaign-*.jsonl` globs), fsync, then rename over the
-        // reservation: the visible file is never in a half-written state.
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| {
-                DispatchError::io(
-                    "reserve campaign file",
-                    &path,
-                    std::io::Error::new(ErrorKind::InvalidData, "reserved name is not valid UTF-8"),
-                )
-            })?;
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let write_header = || -> std::io::Result<File> {
-            let mut f = File::create(&tmp)?; // lint: persist-ok(this is the rename helper itself; hidden temp, fsync, then rename below)
-            f.write_all(header.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(f)
-        };
-        let file = write_header().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
+        let file = jsonl::create(&path, [header]).map_err(|e| {
             let _ = std::fs::remove_file(&path);
             DispatchError::io("write campaign header", &path, e)
         })?;
-        // Persist the rename itself (best-effort; not all filesystems
-        // support fsync on directories).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
         Ok(CampaignFile { file, path })
     }
 
-    /// Opens an existing campaign file for appending (resume). A torn
-    /// final line — a crash mid-append left bytes without a trailing
-    /// newline — is truncated away first; appending straight after it
-    /// would glue the resume seam onto the torn bytes and turn one
-    /// tolerated torn tail into intolerable mid-file garbage.
+    /// Opens an existing campaign file for appending (resume), first
+    /// truncating a torn final line a crash mid-append left behind.
     fn append_to(path: &Path) -> Result<Self, DispatchError> {
         inject::on_io("open campaign file for append")
             .map_err(|e| DispatchError::io("open campaign file for append", path, e))?;
-        truncate_torn_tail(path)
+        jsonl::truncate_torn_tail(path)
             .map_err(|e| DispatchError::io("repair campaign file tail", path, e))?;
         let file = OpenOptions::new()
             .append(true)
@@ -153,87 +133,9 @@ impl CampaignFile {
 
     /// Appends one record line and syncs it to disk.
     fn append(&mut self, line: &str) -> Result<(), DispatchError> {
-        let write = |f: &mut File| -> std::io::Result<()> {
-            inject::on_io("append campaign record")?;
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_data()
-        };
-        write(&mut self.file).map_err(|e| DispatchError::io("append campaign record", &self.path, e))
-    }
-}
-
-/// Truncates a torn final line (bytes after the last newline, left by a
-/// crash mid-append) so subsequent appends start on a fresh line. A file
-/// ending in a newline — or an empty one — is left untouched. Scans
-/// backwards in chunks, so only the tail is read regardless of size.
-fn truncate_torn_tail(path: &Path) -> std::io::Result<()> {
-    use std::io::{Read as _, Seek, SeekFrom};
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    let len = f.metadata()?.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let mut buf = [0u8; 4096];
-    let mut end = len;
-    loop {
-        let start = end.saturating_sub(buf.len() as u64);
-        let n = (end - start) as usize;
-        f.seek(SeekFrom::Start(start))?;
-        f.read_exact(&mut buf[..n])?; // lint: panic-ok(n = end - start <= buf.len() by the saturating_sub above)
-        if end == len && buf[n - 1] == b'\n' { // lint: panic-ok(n >= 1: len > 0 and start < end on every pass)
-            return Ok(()); // intact tail, nothing to repair
-        }
-        let keep = match buf[..n].iter().rposition(|&b| b == b'\n') { // lint: panic-ok(n <= buf.len(), as above)
-            Some(pos) => start + pos as u64 + 1,
-            None if start == 0 => 0, // one torn line is the whole file
-            None => {
-                end = start;
-                continue;
-            }
-        };
-        f.set_len(keep)?;
-        return f.sync_data();
-    }
-}
-
-/// Reserves a unique campaign file name in `dir` with `create_new`.
-///
-/// The name stamp is an `rls-obs` run id — config fingerprint plus a
-/// process-monotonic counter — instead of the wall clock, so resumed or
-/// rapid-fire runs can no longer collide on nanosecond resolution. The
-/// `-k` collision suffix stays as the backstop for names left by *other*
-/// processes (run ids are only process-unique).
-fn reserve_unique(
-    dir: &Path,
-    circuit: &str,
-    threads: usize,
-    fingerprint: u64,
-) -> std::io::Result<(PathBuf, File)> {
-    reserve_with_stamp(dir, circuit, threads, &rls_obs::run_id(fingerprint))
-}
-
-/// Collision loop of [`reserve_unique`], stamp supplied by the caller
-/// (tests mock it to force collisions).
-fn reserve_with_stamp(
-    dir: &Path,
-    circuit: &str,
-    threads: usize,
-    stamp: &str,
-) -> std::io::Result<(PathBuf, File)> {
-    let mut k = 0u32;
-    loop {
-        let name = if k == 0 {
-            format!("campaign-{}-{threads}t-{stamp}.jsonl", sanitize(circuit))
-        } else {
-            format!("campaign-{}-{threads}t-{stamp}-{k}.jsonl", sanitize(circuit))
-        };
-        let path = dir.join(name);
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(f) => return Ok((path, f)),
-            Err(e) if e.kind() == ErrorKind::AlreadyExists => k += 1,
-            Err(e) => return Err(e),
-        }
+        inject::on_io("append campaign record")
+            .and_then(|()| jsonl::append_line(&mut self.file, line))
+            .map_err(|e| DispatchError::io("append campaign record", &self.path, e))
     }
 }
 
@@ -492,17 +394,6 @@ impl Campaign {
         out.push('\n');
         out
     }
-
-    /// Writes the in-memory record to a fresh uniquely-named file under
-    /// `dir` (collision-safe), creating the directory as needed; returns
-    /// the path. Prefer [`Campaign::create`] for crash-safe streaming.
-    pub fn write_jsonl(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let (path, mut f) = reserve_unique(dir, &self.circuit, self.threads, 0)?;
-        f.write_all(self.to_jsonl().as_bytes())?;
-        f.sync_all()?;
-        Ok(path)
-    }
 }
 
 /// Keeps file names tame for arbitrary circuit names.
@@ -529,29 +420,14 @@ impl CampaignLog {
     pub fn read(path: &Path) -> Result<Self, DispatchError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| DispatchError::io("read campaign file", path, e))?;
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .collect();
-        let mut records = Vec::with_capacity(lines.len());
-        let last = lines.len();
-        for (n, (line_no, line)) in lines.iter().enumerate() {
-            match parse(line) {
-                Ok(v) => records.push(v),
-                Err(_) if n + 1 == last => break, // torn tail
-                Err(message) => {
-                    return Err(DispatchError::Parse {
-                        path: path.to_path_buf(),
-                        line: line_no + 1,
-                        message,
-                    });
-                }
-            }
-        }
+        let records = jsonl::records(&text).map_err(|e| DispatchError::Parse {
+            path: path.to_path_buf(),
+            line: e.line,
+            message: e.message,
+        })?;
         Ok(CampaignLog {
             path: path.to_path_buf(),
-            records,
+            records: records.into_iter().map(|(_, v)| v).collect(),
         })
     }
 
@@ -640,36 +516,6 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn write_jsonl_creates_file_under_dir() {
-        let dir = scratch_dir("write");
-        let path = sample().write_jsonl(&dir).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(r#""type":"summary""#));
-        assert!(path.file_name().unwrap().to_str().unwrap().starts_with("campaign-s27-4t-"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn same_stamp_campaigns_get_distinct_names() {
-        // Two campaigns reserving the same stamp (a run id left by
-        // another process, mocked here) must get distinct files, not
-        // overwrite.
-        let dir = scratch_dir("collide");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (p1, _f1) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        let (p2, _f2) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        let (p3, _f3) = reserve_with_stamp(&dir, "s27", 4, "12345").unwrap();
-        assert_eq!(p1.file_name().unwrap(), "campaign-s27-4t-12345.jsonl");
-        assert_eq!(p2.file_name().unwrap(), "campaign-s27-4t-12345-1.jsonl");
-        assert_eq!(p3.file_name().unwrap(), "campaign-s27-4t-12345-2.jsonl");
-        for p in [p1, p2, p3] {
-            let _ = std::fs::remove_file(p);
-        }
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

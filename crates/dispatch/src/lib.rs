@@ -28,7 +28,9 @@
 //!   with fair round-robin budgets for the `rls-serve` campaign server,
 //!   plus [`SharedSetRunner`], the batch-for-batch bit-identical
 //!   shared-pool analogue of [`SetRunner`];
-//! - [`jsonl`]: the dependency-free JSON rendering and parsing underneath;
+//! - [`jsonl`]: a re-export of [`rls_obs::jsonl`], the JSON rendering,
+//!   parsing, and crash-safe file protocol underneath (kept for external
+//!   callers that import it from here);
 //! - [`error`]: structured [`DispatchError`] for persistence and parsing;
 //! - [`inject`]: deterministic fault injection behind the `fault-inject`
 //!   feature (no-op inlines otherwise), driving `tests/resilience.rs`.
@@ -74,9 +76,10 @@ pub mod campaign;
 pub mod error;
 pub mod executor;
 pub mod inject;
-pub mod jsonl;
 pub mod pool;
 pub mod shared;
+
+pub use rls_obs::jsonl;
 
 pub use bitset::AtomicBitset;
 pub use campaign::{Campaign, CampaignLog, CampaignSummary, TrialRecord};

@@ -23,6 +23,11 @@
 //!   [`StderrSink`] tree renderer, the crash-safe [`JsonlSink`] stream
 //!   (read back by [`MetricsLog`] and diffed by `rls-report`), the
 //!   in-memory [`MemorySink`] for tests, or a [`TeeSink`] fan-out.
+//! - [`jsonl`] is the workspace's one durable-JSONL layer: JSON
+//!   rendering and strict parsing plus the crash-safe create / append /
+//!   read protocol that campaign files, metrics streams, recorder dumps
+//!   and the server journal all share. It lives here because this crate
+//!   sits at the bottom of the dependency graph.
 //!
 //! # Cost when disabled
 //!
@@ -44,6 +49,7 @@
 //! environment variables.
 
 pub mod hist;
+pub mod jsonl;
 pub mod names;
 pub mod reader;
 pub mod record;
@@ -180,8 +186,8 @@ pub fn finish() -> Option<Arc<dyn Sink>> {
 ///
 /// Campaign and metrics filenames derive from this instead of a
 /// wall-clock nanosecond stamp, so resumed or rapid-fire runs can no
-/// longer collide on clock resolution; the `create_new` `-k` suffix in
-/// the file reservers remains the backstop against names left by *other*
+/// longer collide on clock resolution; the `create_new` `-k` suffix of
+/// [`jsonl::reserve`] remains the backstop against names left by *other*
 /// processes.
 pub fn run_id(fingerprint: u64) -> String {
     // lint: ordering-ok(uniqueness needs atomicity only, not cross-thread order)

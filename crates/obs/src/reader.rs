@@ -1,20 +1,20 @@
-//! Torn-tail-tolerant reader for obs metrics JSONL files.
+//! Torn-tail-tolerant reader for obs metrics JSONL files and
+//! flight-recorder dumps.
 //!
-//! Mirrors `CampaignLog`'s tolerance contract: the stream is appended one
-//! fsynced line at a time, so a crash can tear at most the *final* line —
-//! that one is silently dropped. Garbage anywhere earlier means the file
-//! was not produced by the sink and is reported as an error.
+//! A thin wrapper over [`crate::jsonl::records`], the reader every JSONL
+//! artifact shares: the stream is appended one fsynced line at a time,
+//! so a crash can tear at most the *final* line — that one is silently
+//! dropped. Any earlier line that is not one complete JSON value means
+//! the file was not produced by the sink and is reported as an error.
 //!
 //! Reading is cheap and stateless, so the same path can be re-read while
 //! a live campaign is still appending to it (reader reuse): each read
 //! returns every intact line present at that moment.
-//!
-//! Full JSON parsing deliberately lives elsewhere (`rls-dispatch::jsonl`
-//! sits *above* this crate in the dependency graph); the check here is
-//! shape-only — one balanced brace-delimited object per line.
 
 use std::io;
 use std::path::Path;
+
+use crate::jsonl;
 
 /// The intact lines of one metrics stream.
 #[derive(Debug, Default, Clone)]
@@ -30,24 +30,12 @@ impl MetricsLog {
 
     /// [`MetricsLog::read`] on already-loaded text.
     pub fn from_text(text: &str) -> io::Result<MetricsLog> {
-        let raw: Vec<&str> = text.lines().collect();
-        let mut lines = Vec::with_capacity(raw.len());
-        for (n, line) in raw.iter().enumerate() {
-            let line = line.trim();
-            if is_intact(line) {
-                lines.push(line.to_string());
-            } else if n + 1 == raw.len() {
-                // Torn tail: the crash case the sink's write protocol
-                // permits. Drop it.
-                break;
-            } else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt metrics line {}", n + 1),
-                ));
-            }
-        }
-        Ok(MetricsLog { lines })
+        let records = jsonl::records(text).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("corrupt metrics {e}"))
+        })?;
+        Ok(MetricsLog {
+            lines: records.into_iter().map(|(line, _)| line.to_string()).collect(),
+        })
     }
 
     /// The intact lines, in file order.
@@ -64,48 +52,6 @@ impl MetricsLog {
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
     }
-}
-
-/// True when `line` is one complete brace-delimited object: starts with
-/// `{`, braces balance outside strings, and nothing trails the close.
-fn is_intact(line: &str) -> bool {
-    if !line.starts_with('{') {
-        return false;
-    }
-    let mut depth = 0u32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut closed = false;
-    for c in line.chars() {
-        if closed {
-            return false; // trailing data after the object
-        }
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => {
-                if depth == 0 {
-                    return false;
-                }
-                depth -= 1;
-                if depth == 0 {
-                    closed = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    closed
 }
 
 #[cfg(test)]
@@ -143,6 +89,15 @@ mod tests {
         // `{"a":1} extra` is not an intact record; as a tail it is dropped.
         let text = format!("{HEADER}\n{{\"a\":1}} extra");
         assert_eq!(MetricsLog::from_text(&text).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn balanced_but_invalid_json_is_corrupt() {
+        // Balanced braces are not enough: every line is parsed strictly,
+        // so a malformed object mid-file is corruption.
+        let text = format!("{HEADER}\n{{\"a\" 1}}\n{METRIC}\n");
+        let err = MetricsLog::from_text(&text).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! Events are born as typed structs in the instrumented code, flow to the
 //! installed [`crate::Sink`], and — when the JSONL sink is active — are
 //! rendered as flat one-line objects with an optional nested `"fields"`
-//! object. The rendering is self-contained (this crate sits below
-//! `rls-dispatch`, so it cannot use `dispatch::jsonl`), but the output is
-//! deliberately parseable by that crate's strict parser: `rls-report`
-//! reads metrics streams back with the same machinery it uses for
-//! campaign records.
+//! object. Events render straight into one buffer (no per-field
+//! allocation) through the shared escaper in [`crate::jsonl`], and read
+//! back with that module's strict parser: `rls-report` reads metrics
+//! streams with the same machinery it uses for campaign records.
 
 use std::fmt::Write as _;
+
+use crate::jsonl::escape_into;
 
 /// The three metric flavours.
 ///
@@ -183,23 +184,6 @@ impl Event {
         }
         out.push('}');
         out
-    }
-}
-
-/// Appends `s` JSON-escaped (same escape set as `dispatch::jsonl`).
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

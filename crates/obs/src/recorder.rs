@@ -36,14 +36,13 @@
 //! results; recording is proven non-perturbing by `tests/sched.rs`.
 
 use std::cell::RefCell;
-use std::fs::OpenOptions;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::jsonl::{self, escape_into, JsonObject};
 use crate::names;
-use crate::record::escape_into;
 
 /// Ring capacity used when [`start`] is handed `0` (or `RLS_RECORD=1`).
 pub const DEFAULT_CAPACITY: usize = 8192;
@@ -434,12 +433,13 @@ impl Snapshot {
 /// file under the configured dump directory, named
 /// `rec-dump-<reason>-<pid>-<seq>[-k].jsonl`.
 ///
-/// The file follows the workspace persistence contract one line at a
-/// time (`write_all` per line, `sync_data` at the end), so a crash *in
-/// the middle of dumping a crash* leaves at most one torn tail line —
-/// which [`crate::MetricsLog`] readers tolerate. Returns `None` (and
-/// does nothing) when the recorder is disarmed, no dump directory is
-/// configured, or the dump cannot be created.
+/// The name is reserved with [`jsonl::reserve`] and the whole dump is
+/// written as one [`jsonl::append_line`] (one `write_all`, one
+/// `sync_data`), so a crash *in the middle of dumping a crash* leaves at
+/// most one torn tail line — which [`crate::MetricsLog`] readers
+/// tolerate. Returns `None` (and does nothing) when the recorder is
+/// disarmed, no dump directory is configured, or the dump cannot be
+/// created.
 pub fn dump(reason: &str) -> Option<PathBuf> {
     if !recording() {
         return None;
@@ -491,47 +491,27 @@ fn write_dump(
     snap: &Snapshot,
 ) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let pid = std::process::id();
-    let mut k = 0u32;
-    let (path, mut file) = loop {
-        let name = if k == 0 {
-            format!("rec-dump-{tag}-{pid}-{seq}.jsonl")
-        } else {
-            format!("rec-dump-{tag}-{pid}-{seq}-{k}.jsonl")
-        };
-        let candidate = dir.join(name);
-        match OpenOptions::new().write(true).create_new(true).open(&candidate) {
-            Ok(f) => break (candidate, f),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
-            Err(e) => return Err(e),
-        }
-    };
-    let mut header = String::from("{\"type\":\"rec_dump\",\"version\":1,\"reason\":\"");
-    escape_into(reason, &mut header);
-    use std::fmt::Write as _;
-    let _ = write!(
-        header,
-        "\",\"events\":{},\"dropped\":{}",
-        snap.events.len(),
-        snap.dropped
-    );
-    header.push_str(",\"threads\":[");
-    for (n, (tid, label)) in snap.threads.iter().enumerate() {
-        if n > 0 {
-            header.push(',');
-        }
-        let _ = write!(header, "{{\"tid\":{tid},\"label\":\"");
-        escape_into(label, &mut header);
-        header.push_str("\"}");
-    }
-    header.push_str("]}\n");
-    file.write_all(header.as_bytes())?;
+    let stem = format!("rec-dump-{tag}-{}-{seq}", std::process::id());
+    let (path, mut file) = jsonl::reserve(dir, &stem)?;
+    let threads = jsonl::array(snap.threads.iter().map(|(tid, label)| {
+        JsonObject::new()
+            .num("tid", u64::from(*tid))
+            .str("label", label)
+            .render()
+    }));
+    let mut text = JsonObject::new()
+        .str("type", "rec_dump")
+        .num("version", 1)
+        .str("reason", reason)
+        .num("events", snap.events.len() as u64)
+        .num("dropped", snap.dropped)
+        .raw("threads", &threads)
+        .render();
     for event in &snap.events {
-        let mut line = event.to_json();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
+        text.push('\n');
+        text.push_str(&event.to_json());
     }
-    file.sync_data()?;
+    jsonl::append_line(&mut file, &text)?;
     Ok(path)
 }
 
@@ -637,15 +617,22 @@ mod tests {
         armed(|| {
             let stop_flag = Arc::new(AtomicBool::new(false));
             let writer_stop = stop_flag.clone();
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
             let writer = std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !writer_stop.load(Ordering::Relaxed) {
                     record(RecKind::Counter, "procedure2.trials", i, i);
                     record(RecKind::Mark, "fsim.batch", i, i);
+                    if i == 0 {
+                        let _ = started_tx.send(());
+                    }
                     i += 1;
                 }
                 i
             });
+            // The snapshots must overlap the writer: wait until it has
+            // recorded once, or all 200 can finish before it is scheduled.
+            started_rx.recv().expect("writer records");
             for _ in 0..200 {
                 let snap = snapshot();
                 for e in &snap.events {

@@ -6,14 +6,15 @@
 //! free to take its own mutex without blocking emitters on other sinks.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::hist::HdrHistogram;
-use crate::record::{escape_into, Event, MetricKind};
+use crate::jsonl::{self, JsonObject};
+use crate::record::{Event, MetricKind};
 
 /// An event consumer.
 pub trait Sink: Send + Sync {
@@ -135,14 +136,11 @@ impl Sink for StderrSink {
     }
 }
 
-/// Crash-safe JSONL metrics stream.
-///
-/// Mirrors the campaign persistence contract (DESIGN.md §7): the final
-/// name is reserved with `create_new` plus a `-k` collision suffix, the
-/// header lands via a hidden temp file and an atomic rename over the
-/// reservation, and every event is appended as one `write_all` +
-/// `sync_data` line — a crash leaves at most one torn tail line, which
-/// the [`crate::MetricsLog`] reader tolerates.
+/// Crash-safe JSONL metrics stream, written with the [`crate::jsonl`]
+/// file protocol: a `create_new`-reserved `obs-<run_id>[-k].jsonl`, the
+/// header published through an fsynced temp file and an atomic rename,
+/// and one `write_all` + `sync_data` per event — a crash leaves at most
+/// one torn tail line, which the [`crate::MetricsLog`] reader tolerates.
 ///
 /// On the first append error the sink warns once on stderr and disables
 /// itself; the run continues without metrics rather than failing.
@@ -157,41 +155,15 @@ impl JsonlSink {
     /// record `{"type":"obs","version":1,"run_id":…}`.
     pub fn create(dir: &Path, run_id: &str) -> io::Result<JsonlSink> {
         std::fs::create_dir_all(dir)?;
-        // Reserve a unique final name. Run ids are only process-unique,
-        // so the -k suffix backstops names left by other processes.
-        let mut k = 0u32;
-        let path = loop {
-            let name = if k == 0 {
-                format!("obs-{run_id}.jsonl")
-            } else {
-                format!("obs-{run_id}-{k}.jsonl")
-            };
-            let candidate = dir.join(name);
-            match OpenOptions::new().write(true).create_new(true).open(&candidate) {
-                Ok(_) => break candidate,
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => k += 1,
-                Err(e) => return Err(e),
-            }
-        };
-        let mut header = String::from("{\"type\":\"obs\",\"version\":1,\"run_id\":\"");
-        escape_into(run_id, &mut header);
-        header.push_str("\"}\n");
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("obs.jsonl");
-        let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-        // lint: persist-ok(this is the rename helper itself; hidden temp, fsync, then rename below)
-        let mut t = File::create(&tmp)?;
-        t.write_all(header.as_bytes())?;
-        t.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename durable (best-effort: not all platforms allow
-        // opening a directory for sync).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
+        // Run ids are only process-unique, so the -k suffix backstops
+        // names left by other processes.
+        let (path, _) = jsonl::reserve(dir, &format!("obs-{run_id}"))?;
+        let header = JsonObject::new()
+            .str("type", "obs")
+            .num("version", 1)
+            .str("run_id", run_id)
+            .render();
+        let file = jsonl::create(&path, [header])?;
         Ok(JsonlSink {
             file: Mutex::new(Some(file)),
             path,
@@ -220,20 +192,16 @@ impl JsonlSink {
         self.dead.load(Ordering::Relaxed)
     }
 
-    fn write_line(&self, line: &str) {
+    /// Appends `line`; with `last`, closes the stream in the same
+    /// critical section, so no straggling event can land after it.
+    fn write_line(&self, line: &str, last: bool) {
         // lint: ordering-ok(monotone latch; a stale false only costs one extra mutex round)
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
         let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(f) = guard.as_mut() else { return };
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        // One write_all per record keeps the torn-tail guarantee; the
-        // per-line sync matches the campaign stream's crash contract.
-        let outcome = f.write_all(&buf).and_then(|()| f.sync_data());
-        if let Err(e) = outcome {
+        if let Err(e) = jsonl::append_line(f, line) {
             *guard = None;
             // lint: ordering-ok(monotone latch; set under the file mutex that every writer takes)
             self.dead.store(true, Ordering::Relaxed);
@@ -241,19 +209,27 @@ impl JsonlSink {
                 "warning: obs metrics stream disabled ({}): {e}",
                 self.path.display()
             );
+        } else if last {
+            *guard = None;
         }
     }
 }
 
 impl Sink for JsonlSink {
     fn event(&self, event: &Event) {
-        self.write_line(&event.to_json());
+        self.write_line(&event.to_json(), false);
     }
 
+    /// Writes the `obs_summary` record and closes the stream: emitters
+    /// clone the collector's `Arc` before [`crate::finish`] takes it, so
+    /// events can still arrive afterwards; they are dropped, and the
+    /// summary stays the last line.
     fn finish(&self, wall_nanos: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"obs_summary\",\"wall_nanos\":{wall_nanos}}}"
-        ));
+        let summary = JsonObject::new()
+            .str("type", "obs_summary")
+            .num("wall_nanos", wall_nanos)
+            .render();
+        self.write_line(&summary, true);
     }
 }
 
@@ -469,6 +445,28 @@ mod tests {
         assert!(lines[0].contains("\"type\":\"obs\""));
         assert!(lines[1].contains("\"name\":\"fsim.batches\""));
         assert_eq!(lines[2], "{\"type\":\"obs_summary\",\"wall_nanos\":123}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn events_after_finish_never_follow_the_summary() {
+        let dir = temp_dir("straggler");
+        let sink = JsonlSink::create(&dir, "0-r2").unwrap();
+        let event = Event::Metric(MetricRecord {
+            kind: MetricKind::Counter,
+            name: "fsim.batches",
+            value: 1,
+            fields: Vec::new(),
+        });
+        sink.event(&event);
+        sink.finish(7);
+        // A straggler that cloned the collector before `finish` took it.
+        sink.event(&event);
+        let text = std::fs::read_to_string(sink.path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(lines[2], "{\"type\":\"obs_summary\",\"wall_nanos\":7}");
+        assert!(!sink.disabled(), "closing is not an IO failure");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -44,7 +44,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use rls_core::{Procedure2, RlsConfig};
-use rls_dispatch::jsonl::JsonObject;
+use rls_obs::jsonl::JsonObject;
 use rls_lfsr::SeedSequence;
 use rls_serve::{backoff_ms, fnv1a, normalize_line, normalize_recovered};
 
@@ -234,7 +234,7 @@ fn control_end(kind: &str, line: &str) -> Option<StreamEnd> {
     match kind {
         "done" | "interrupted" | "draining" => Some(StreamEnd::Ok),
         "rejected" => Some(StreamEnd::Rejected(
-            rls_dispatch::jsonl::parse(line)
+            rls_obs::jsonl::parse(line)
                 .ok()
                 .and_then(|v| v.u64_field("retry_after_ms")),
         )),
@@ -252,7 +252,7 @@ fn tail(stream: UnixStream, normalize: bool) -> StreamEnd {
         if line.is_empty() {
             continue;
         }
-        let kind = rls_dispatch::jsonl::parse(&line)
+        let kind = rls_obs::jsonl::parse(&line)
             .ok()
             .and_then(|v| v.str_field("type").map(str::to_string))
             .unwrap_or_default();
@@ -296,7 +296,7 @@ fn tail_recovered(stream: UnixStream) -> Result<StreamEnd, String> {
         if line.is_empty() {
             continue;
         }
-        let kind = rls_dispatch::jsonl::parse(&line)
+        let kind = rls_obs::jsonl::parse(&line)
             .ok()
             .and_then(|v| v.str_field("type").map(str::to_string))
             .unwrap_or_default();

@@ -11,22 +11,26 @@
 //! one from its last checkpoint through the ordinary
 //! `Procedure2::resume` machinery.
 //!
-//! Persistence follows the `dispatch::jsonl` campaign-file idiom exactly:
-//! the compacted file is written to a hidden temp name, fsynced, and
-//! renamed into place; appends are `write_all` + `sync_data`; the reader
+//! Persistence is the shared [`rls_obs::jsonl`] file protocol: the
+//! compacted file is published through an fsynced hidden temp file and
+//! an atomic rename ([`jsonl::create`]); appends are one `write_all` +
+//! `sync_data` ([`jsonl::append_line`]); the reader ([`jsonl::records`])
 //! tolerates a torn final line (a crash mid-append) but treats mid-file
-//! garbage as corruption. A `begin` carries everything recovery needs —
+//! garbage as corruption. The journal's own policy stays here: the chaos
+//! crash points inside `Journal::append`, the rule that every record
+//! carries a `type`, and quarantining a corrupt file instead of refusing
+//! to start. A `begin` carries everything recovery needs —
 //! run id, circuit, config fingerprint, campaign file path, and the raw
 //! request line — so the server can rebuild the exact configuration and
 //! refuse to resume under a fingerprint that no longer matches.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use rls_dispatch::inject;
-use rls_dispatch::jsonl::{self, JsonObject, JsonValue};
+use rls_obs::jsonl::{self, JsonObject, JsonValue};
 
 /// The journal's file name under the campaign directory.
 pub const JOURNAL_FILE: &str = "serve-journal.jsonl";
@@ -116,20 +120,7 @@ impl Journal {
             }
         };
         // Compact: rewrite only the surviving begins via temp + rename.
-        let tmp = dir.join(format!(".{JOURNAL_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp)?; // lint: persist-ok(hidden temp for the compaction rewrite; fsynced and renamed over the journal below)
-            for entry in &inflight {
-                f.write_all(entry.render().as_bytes())?;
-                f.write_all(b"\n")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let file = jsonl::create(&path, inflight.iter().map(JournalEntry::render))?;
         Ok((Journal { path, file: Mutex::new(file) }, inflight))
     }
 
@@ -156,51 +147,46 @@ impl Journal {
 
     fn append(&self, line: &str) -> std::io::Result<()> {
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
         // Chaos fault point: die exactly like a power cut would, either
         // mid-append (torn tail, fsync never ran) or just after the entry
         // became durable. Recovery must converge from both states.
         match inject::on_journal_append() {
             inject::JournalCrash::None => {}
             inject::JournalCrash::Torn => {
+                let bytes = format!("{line}\n");
                 // lint: block-ok(the mutex IS the append serializer; a torn-crash fault point)
-                let _ = file.write_all(&bytes[..bytes.len() / 2]); // lint: panic-ok(len/2 <= len)
+                let _ = file.write_all(&bytes.as_bytes()[..bytes.len() / 2]); // lint: panic-ok(len/2 <= len)
                 let _ = file.flush(); // lint: block-ok(the mutex IS the append serializer)
                 std::process::exit(86);
             }
             inject::JournalCrash::Durable => {
-                let _ = file.write_all(&bytes); // lint: block-ok(the mutex IS the append serializer)
-                let _ = file.sync_data(); // lint: block-ok(durable-crash fault point; mutex serializes appends)
+                let _ = jsonl::append_line(&mut file, line); // lint: block-ok(durable-crash fault point; mutex serializes appends)
                 std::process::exit(86);
             }
         }
-        file.write_all(&bytes)?; // lint: block-ok(appends must be exclusive; the Mutex<File> is the whole protocol)
-        file.sync_data() // lint: block-ok(durability barrier before begin/end returns; serialized by design)
+        jsonl::append_line(&mut file, line) // lint: block-ok(durability barrier before begin/end returns; the Mutex<File> serializes appends)
     }
 }
 
 /// Reads every journal record, tolerating a torn final line (the record
-/// being appended when the process died) but not mid-file garbage —
-/// the same contract as `CampaignLog::read`.
+/// being appended when the process died) but not mid-file garbage, nor
+/// an intact record without a `type`.
 pub fn read(path: &Path) -> Result<Vec<JsonValue>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match jsonl::parse(line) {
-            Ok(v) if v.str_field("type").is_some() => records.push(v),
-            _ if i + 1 == lines.len() => break, // torn tail: crash mid-append
-            Ok(_) => return Err(format!("{}: record {} has no type", path.display(), i + 1)),
-            Err(e) => return Err(format!("{}: record {}: {e}", path.display(), i + 1)),
+    let records = jsonl::records(&text)
+        .map_err(|e| format!("{}: record {}: {}", path.display(), e.line, e.message))?;
+    let mut out = Vec::with_capacity(records.len());
+    for (i, (_, v)) in records.into_iter().enumerate() {
+        if v.str_field("type").is_none() {
+            return Err(format!("{}: record {} has no type", path.display(), i + 1));
         }
+        out.push(v);
     }
-    Ok(records)
+    Ok(out)
 }
 
 /// The `begin` entries without a matching `end`, in journal order.

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Listens on a Unix-domain socket for newline-delimited JSON campaign
-//! requests and serves them over one persistent shared worker pool. Set
+//! requests and serves them over one persistent shared worker pool. The
+//! campaign directory (default `results`) is resolved once against the
+//! startup working directory and logged as an absolute path. Set
 //! `RLS_OBS=1` (and optionally `RLS_OBS_SINK=stderr|jsonl|both`) to
 //! record server metrics (`serve.*`) alongside the campaign records, and
 //! `RLS_RECORD=1` (or a per-thread event capacity) to arm the flight
@@ -94,6 +96,16 @@ fn parse_args() -> ServeConfig {
         eprintln!("--socket is required");
         usage();
     };
+    // Resolve once against the startup cwd: the journal, campaign files,
+    // obs sinks and recorder dumps all land in this one absolute directory.
+    let campaign_dir = match std::path::absolute(&campaign_dir) {
+        Ok(dir) => dir,
+        Err(e) => {
+            eprintln!("rls-serve: cannot resolve --campaign-dir {}: {e}", campaign_dir.display());
+            std::process::exit(2);
+        }
+    };
+    eprintln!("rls-serve: campaign directory {}", campaign_dir.display());
     let mut cfg = ServeConfig::new(socket, campaign_dir);
     cfg.threads = threads;
     cfg.max_inflight = max_inflight;

@@ -27,8 +27,7 @@
 
 use std::path::PathBuf;
 
-use rls_dispatch::jsonl::{escape, parse, JsonValue};
-use rls_dispatch::jsonl::JsonObject;
+use rls_obs::jsonl::{parse, render_value, JsonObject, JsonValue};
 use rls_fsim::LaneWidth;
 
 /// Upper bound on one request line (netlist uploads included).
@@ -292,29 +291,6 @@ pub fn interrupted_line(run_id: &str, reason: &str) -> String {
 /// Top-level record fields that carry wall-clock observations; they are
 /// metadata by the campaign-record contract, never part of the outcome.
 const VOLATILE_FIELDS: &[&str] = &["wall_nanos", "ts0_wall_nanos"];
-
-/// Renders a parsed [`JsonValue`] back to one line, preserving field
-/// order and raw number tokens (lossless round-trip for records our own
-/// writer produced).
-pub fn render_value(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Number(raw) => raw.clone(),
-        JsonValue::Str(s) => format!("\"{}\"", escape(s)),
-        JsonValue::Array(items) => {
-            let parts: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", parts.join(","))
-        }
-        JsonValue::Object(fields) => {
-            let parts: Vec<String> = fields
-                .iter()
-                .map(|(k, x)| format!("\"{}\":{}", escape(k), render_value(x)))
-                .collect();
-            format!("{{{}}}", parts.join(","))
-        }
-    }
-}
 
 /// Normalizes one campaign record line for byte comparison between a
 /// served stream and a direct run's file:

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
-use rls_dispatch::jsonl::{parse, JsonObject};
+use rls_obs::jsonl::{parse, JsonObject};
 
 /// Lifecycle of a registered run, as published to `stats`/`watch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,7 +246,7 @@ pub fn stats_line(
     counters: &ServerCounters,
     runs: &[RunRow<'_>],
 ) -> String {
-    let campaigns = rls_dispatch::jsonl::array(runs.iter().map(|r| {
+    let campaigns = rls_obs::jsonl::array(runs.iter().map(|r| {
         r.progress
             .render_into(
                 JsonObject::new()

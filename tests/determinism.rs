@@ -39,14 +39,16 @@ fn synthetic_circuit_parallel_is_bit_identical_to_sequential() {
 
 #[test]
 fn campaign_jsonl_records_worker_counters() {
+    let dir = std::env::temp_dir().join(format!("rls-det-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let c = random_limited_scan::benchmarks::s27();
     let cfg = RlsConfig::new(4, 8, 8)
         .with_threads(4)
-        .with_campaign_dir("results");
-    let before = campaign_files();
+        .with_campaign_dir(&dir);
+    let before = campaign_files(&dir);
     let outcome = Procedure2::new(&c, cfg).run();
     assert!(outcome.final_coverage().detected > 0);
-    let new: Vec<_> = campaign_files()
+    let new: Vec<_> = campaign_files(&dir)
         .into_iter()
         .filter(|p| !before.contains(p))
         .collect();
@@ -56,11 +58,12 @@ fn campaign_jsonl_records_worker_counters() {
     assert!(text.contains("\"type\":\"workers\""));
     assert!(text.contains("\"type\":\"summary\""));
     assert!(text.contains("\"threads\":4"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Campaign records for the s27/4-thread runs of this test binary.
-fn campaign_files() -> Vec<std::path::PathBuf> {
-    std::fs::read_dir("results")
+fn campaign_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir(dir)
         .map(|dir| {
             dir.filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| {

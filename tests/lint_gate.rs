@@ -224,22 +224,26 @@ fn mutation_join_under_guard_is_caught() {
 }
 
 #[test]
-fn mutation_dropped_sync_all_in_journal_is_caught() {
-    let rel = "crates/serve/src/journal.rs";
+fn mutation_dropped_sync_all_in_shared_create_is_caught() {
+    // Every JSONL artifact (campaign files, metrics streams, the server
+    // journal) is published through `rls_obs::jsonl::create`; dropping
+    // its fsync between the temp-file write and the rename must turn the
+    // persistence gate red.
+    let rel = "crates/obs/src/jsonl.rs";
     let clean = read_source(rel);
-    let sync_line = "            f.sync_all()?;\n";
+    let sync_line = "        file.sync_all()?;\n";
     assert!(
         clean.contains(sync_line),
-        "journal compaction must fsync its temp file (mutation anchor moved?)"
+        "the shared create must fsync its temp file (mutation anchor moved?)"
     );
     let mutated = clean.replacen(sync_line, "", 1);
-    let found = lint_crate_with("serve", rel, &mutated);
+    let found = lint_crate_with("obs", rel, &mutated);
     assert!(
         rules_hit(&found, "persist-protocol") > 0,
         "rename without fsync must be flagged:\n{}",
         render(&found.iter().collect::<Vec<_>>())
     );
-    let unmutated = lint_crate_with("serve", rel, &clean);
+    let unmutated = lint_crate_with("obs", rel, &clean);
     assert_eq!(rules_hit(&unmutated, "persist-protocol"), 0);
 }
 

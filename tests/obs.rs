@@ -6,8 +6,8 @@
 //! every name emitted during a real parallel campaign is a registered
 //! lowercase dot-separated literal from `rls_obs::names`.
 //!
-//! Tests that install a collector serialize on `OBS_LOCK` — the collector
-//! slot is process-global.
+//! Tests that install a collector or run a pool serialize on `OBS_LOCK` —
+//! the collector slot is process-global.
 
 use std::sync::{Arc, Mutex};
 
@@ -21,6 +21,9 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn adaptive_chunks_cut_submit_overhead_on_large_circuits() {
+    // This test's pool emits gauges too: it must not run while another
+    // test's collector is installed.
+    let _guard = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // s953 is large enough that the adaptive chunk (live / (threads * 8))
     // exceeds the 64-lane kernel width, so fewer jobs cross the queues
     // than fixed 64-fault chunks would need.

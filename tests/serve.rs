@@ -64,7 +64,7 @@ fn normalize_stream(lines: &[String]) -> Vec<String> {
     lines
         .iter()
         .filter(|l| {
-            let v = rls_dispatch::jsonl::parse(l).expect("served line parses");
+            let v = rls_obs::jsonl::parse(l).expect("served line parses");
             !rls_serve::protocol::is_control(&v)
         })
         .filter_map(|l| normalize_line(l).expect("served record normalizes"))
@@ -110,7 +110,7 @@ fn served_campaign_is_byte_identical_to_a_direct_run() {
     );
     assert_eq!(normalize_stream(&lines), direct, "served ≡ direct, byte for byte");
     // The served campaign file holds the same records as the stream.
-    let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
+    let accepted = rls_obs::jsonl::parse(&lines[0]).unwrap();
     let path = accepted.str_field("path").expect("accepted carries the file path");
     let file_text = std::fs::read_to_string(path).unwrap();
     let from_file: Vec<String> = file_text
@@ -317,7 +317,7 @@ fn drained_campaign_checkpoints_and_a_served_resume_completes_it() {
     let lines = roundtrip(&socket, &request);
     let done = lines.last().expect("resume produced a stream");
     assert!(done.contains("\"done\""), "{lines:?}");
-    let v = rls_dispatch::jsonl::parse(done).unwrap();
+    let v = rls_obs::jsonl::parse(done).unwrap();
     assert_eq!(v.u64_field("detected"), Some(uninterrupted.total_detected as u64));
     assert_eq!(v.u64_field("pairs"), Some(uninterrupted.pairs.len() as u64));
     assert_eq!(
@@ -354,7 +354,7 @@ fn attach_replays_a_finished_run_and_rejects_unknown_ids() {
         r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"threads":2}"#,
     );
     assert!(lines.last().is_some_and(|l| l.contains("\"done\"")), "{lines:?}");
-    let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
+    let accepted = rls_obs::jsonl::parse(&lines[0]).unwrap();
     let run_id = accepted.str_field("run_id").expect("accepted carries run_id").to_string();
 
     // Attaching to the finished run replays the campaign file behind a
@@ -528,13 +528,13 @@ fn stats_snapshot_matches_the_campaign_summary_record() {
         r#"{"type":"run","circuit":"s27","la":4,"lb":8,"n":8,"threads":2}"#,
     );
     assert!(lines.last().is_some_and(|l| l.contains("\"done\"")), "{lines:?}");
-    let accepted = rls_dispatch::jsonl::parse(&lines[0]).unwrap();
+    let accepted = rls_obs::jsonl::parse(&lines[0]).unwrap();
     let run_id = accepted.str_field("run_id").expect("accepted carries run_id").to_string();
     let path = PathBuf::from(accepted.str_field("path").expect("accepted carries the file path"));
 
     let stats = roundtrip(&socket, r#"{"type":"stats"}"#);
     assert_eq!(stats.len(), 1, "{stats:?}");
-    let v = rls_dispatch::jsonl::parse(&stats[0]).unwrap();
+    let v = rls_obs::jsonl::parse(&stats[0]).unwrap();
     assert!(rls_serve::protocol::is_control(&v), "stats frames are control frames");
     assert_eq!(v.str_field("type"), Some("stats"));
     assert!(v.u64_field("max_inflight").is_some(), "{stats:?}");
@@ -587,7 +587,7 @@ fn watch_streams_progress_frames_and_closes_with_the_final_frame() {
     let mut accepted = String::new();
     reader.read_line(&mut accepted).unwrap();
     assert!(accepted.contains("\"accepted\""), "{accepted:?}");
-    let run_id = rls_dispatch::jsonl::parse(&accepted)
+    let run_id = rls_obs::jsonl::parse(&accepted)
         .unwrap()
         .str_field("run_id")
         .unwrap()
@@ -600,13 +600,13 @@ fn watch_streams_progress_frames_and_closes_with_the_final_frame() {
         "{frames:?}"
     );
     for frame in &frames[..frames.len() - 1] {
-        let v = rls_dispatch::jsonl::parse(frame).unwrap();
+        let v = rls_obs::jsonl::parse(frame).unwrap();
         assert_eq!(v.str_field("type"), Some("progress"), "{frames:?}");
         assert_eq!(v.str_field("run_id"), Some(run_id.as_str()), "{frames:?}");
         assert!(rls_serve::protocol::is_control(&v), "progress frames are control frames");
     }
     // The last progress frame published the finished state before close.
-    let final_progress = rls_dispatch::jsonl::parse(&frames[frames.len() - 2]).unwrap();
+    let final_progress = rls_obs::jsonl::parse(&frames[frames.len() - 2]).unwrap();
     assert_eq!(final_progress.str_field("state"), Some("done"), "{frames:?}");
     // The run's own stream still completes normally under a watcher.
     let rest: Vec<String> = reader.lines().map_while(Result::ok).collect();

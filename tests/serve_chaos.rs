@@ -168,7 +168,7 @@ fn kill9_mid_campaign_is_recovered_on_restart_and_attach_matches_direct() {
     let socket = dir.join("rls.sock");
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
-    let v = rls_dispatch::jsonl::parse(&accepted).unwrap();
+    let v = rls_obs::jsonl::parse(&accepted).unwrap();
     let run_id = v.str_field("run_id").expect("run id").to_string();
     let path = PathBuf::from(v.str_field("path").expect("path"));
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -293,7 +293,7 @@ fn torn_journal_end_auto_resumes_under_the_original_run_id() {
     let socket = dir.join("rls.sock");
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
-    let run_id = rls_dispatch::jsonl::parse(&accepted)
+    let run_id = rls_obs::jsonl::parse(&accepted)
         .unwrap()
         .str_field("run_id")
         .expect("run id")
@@ -348,7 +348,7 @@ fn watchdog_requeues_a_stalled_campaign_and_the_outcome_is_exact() {
     let (accepted, reader) = open_stream(&socket, REQ_S208);
     assert!(accepted.contains("\"accepted\""), "{accepted}");
     let path = PathBuf::from(
-        rls_dispatch::jsonl::parse(&accepted)
+        rls_obs::jsonl::parse(&accepted)
             .unwrap()
             .str_field("path")
             .expect("path"),
@@ -403,7 +403,7 @@ fn deadlines_interrupt_resumably_and_overload_sheds_with_a_hint() {
     );
     assert!(accepted.contains("\"accepted\""), "{accepted}");
     let path = PathBuf::from(
-        rls_dispatch::jsonl::parse(&accepted)
+        rls_obs::jsonl::parse(&accepted)
             .unwrap()
             .str_field("path")
             .expect("path"),
@@ -482,7 +482,7 @@ fn chaos_client(socket: PathBuf, base: String) -> PathBuf {
             .map_while(Result::ok)
             .filter(|l| !l.is_empty())
             .collect();
-        if let Some(Ok(v)) = lines.first().map(|l| rls_dispatch::jsonl::parse(l)) {
+        if let Some(Ok(v)) = lines.first().map(|l| rls_obs::jsonl::parse(l)) {
             if v.str_field("type") == Some("accepted") {
                 if let Some(p) = v.str_field("path") {
                     path = Some(PathBuf::from(p));
